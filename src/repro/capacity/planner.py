@@ -330,14 +330,17 @@ def plan_capacity(
     ``persist_cache`` (default on) points the process-wide schedule cache
     at an on-disk directory — ``cache_dir``, else ``$REPRO_PLAN_CACHE_DIR``,
     else ``.repro-plan-cache`` under the current directory — so repeated
-    what-ifs and the benchmark's rerun gate start warm.  ``progress`` is
-    called as ``progress(done, total)`` after each simulated candidate.
+    what-ifs and the benchmark's rerun gate start warm.  The previous
+    directory (or none) is restored when the call returns or raises.
+    ``progress`` is called as ``progress(done, total)`` after each
+    simulated candidate.
     The returned dict's ``"cache"`` section is volatile (counters differ
     across ``--jobs`` and warm/cold disk); :func:`report_to_json` strips
     it so the ranked JSON is byte-stable.
     """
     if not 0 < slo_target <= 1:
         raise ConfigError(f"slo_target must be in (0, 1], got {slo_target!r}")
+    previous_dir = schedule_cache.stats().persist_dir
     if persist_cache:
         directory = (
             cache_dir
@@ -345,6 +348,28 @@ def plan_capacity(
             or DEFAULT_CACHE_DIR
         )
         schedule_cache.configure(persist_dir=directory)
+    try:
+        return _search(
+            grid, forecast, slo_target, fault_model, abft, plan_policy,
+            jobs, prune, progress,
+        )
+    finally:
+        # the cache is process-wide: later callers get back their setting
+        schedule_cache.configure(persist_dir=previous_dir or "")
+
+
+def _search(
+    grid: CandidateGrid,
+    forecast: ForecastSpec,
+    slo_target: float,
+    fault_model: Optional[FaultModel],
+    abft: bool,
+    plan_policy: str,
+    jobs: Optional[int],
+    prune: bool,
+    progress: Optional[Callable[[int, int], None]],
+) -> Dict[str, object]:
+    """:func:`plan_capacity`'s bound → simulate → rank phases."""
     stats_before = schedule_cache.stats()
 
     candidates = grid.enumerate()

@@ -85,6 +85,7 @@ class BatchCoster:
         self.include_non_conv = include_non_conv
         self._networks: Dict[str, Network] = {}
         self._runs: Dict[Tuple[str, int], BatchRun] = {}
+        self._seconds: Dict[Tuple[str, int], float] = {}
         self.memo_hits = 0
         self.memo_misses = 0
 
@@ -115,9 +116,21 @@ class BatchCoster:
         return run
 
     def batch_seconds(self, network: str, batch_size: int) -> float:
-        """Wall-clock seconds one batch occupies an accelerator replica."""
+        """Wall-clock seconds one batch occupies an accelerator replica.
+
+        Memoized per ``(network, batch_size)`` next to the run itself; a hit
+        counts in ``memo_hits`` exactly as a :meth:`batch_run` hit would.
+        """
+        key = (network, batch_size)
+        seconds = self._seconds.get(key)
+        if seconds is not None:
+            self.memo_hits += 1
+            return seconds
         run = self.batch_run(network, batch_size)
-        return self.config.cycles_to_seconds(run.total_cycles)
+        seconds = self._seconds[key] = self.config.cycles_to_seconds(
+            run.total_cycles
+        )
+        return seconds
 
     def image_seconds(self, network: str, batch_size: int) -> float:
         """Per-image service time at a given batch size."""

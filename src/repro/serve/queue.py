@@ -14,13 +14,15 @@ accelerator's finite service rate.  Three policies interact:
   is waiting for anymore.
 
 Requests are grouped *per network* because a batch must share weights: the
-batcher can only fuse requests that run the same model.
+batcher can only fuse requests that run the same model.  Each group is a
+heap in policy order (see :class:`AdmissionQueue`).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.serve.workload import Request
@@ -65,11 +67,32 @@ class ShedEvent:
 
 
 class AdmissionQueue:
-    """Per-network request queues under one :class:`QueuePolicy`."""
+    """Per-network request queues under one :class:`QueuePolicy`.
+
+    Each network group is a binary heap keyed on the policy's total order —
+    ``(arrival_s, rid)`` for FIFO, ``(deadline_s, arrival_s, rid)`` for EDF
+    — with an insertion counter as the last tie-break, so equal keys leave
+    in the order they were offered.  ``offer`` and each request
+    ``pop_batch`` takes are O(log n).  Under FIFO the heap top is also the
+    oldest arrival; EDF keeps a second ``(arrival_s, seq)`` heap per group
+    whose served entries are dropped lazily when they reach its top, which
+    makes ``oldest_arrival`` O(1) amortised under both orders.
+
+    Arrival-ordered deques would not do: retried requests are re-offered
+    with their original ``arrival_s``, so requests do not enter the queue
+    in arrival order.
+    """
 
     def __init__(self, policy: QueuePolicy = QueuePolicy()) -> None:
         self.policy = policy
-        self._groups: Dict[str, List[Request]] = {}
+        self._edf = policy.order == "edf"
+        #: network -> heap of (*sort key, seq, request); no empty groups
+        self._groups: Dict[str, List[Tuple]] = {}
+        #: EDF only: network -> heap of (arrival_s, seq), served ones lazily
+        self._arrivals: Dict[str, List[Tuple[float, int]]] = {}
+        #: EDF only: network -> seqs served but still in ``_arrivals``
+        self._served: Dict[str, Set[int]] = {}
+        self._seq = 0
         self._depth = 0
 
     def __len__(self) -> int:
@@ -82,12 +105,17 @@ class AdmissionQueue:
 
     def networks(self) -> List[str]:
         """Networks with queued requests, in deterministic name order."""
-        return sorted(name for name, group in self._groups.items() if group)
+        return sorted(self._groups)
 
     def oldest_arrival(self, network: str) -> float:
         """Arrival time of the longest-waiting request for ``network``."""
-        group = self._groups[network]
-        return min(r.arrival_s for r in group)
+        if not self._edf:
+            return self._groups[network][0][0]
+        arrivals = self._arrivals[network]
+        served = self._served[network]
+        while arrivals[0][1] in served:
+            served.discard(heapq.heappop(arrivals)[1])
+        return arrivals[0][0]
 
     # -- admission --------------------------------------------------------
 
@@ -95,42 +123,68 @@ class AdmissionQueue:
         """Admit ``request`` or return the :class:`ShedEvent` rejecting it."""
         if self._depth >= self.policy.max_depth:
             return ShedEvent(request, SHED_QUEUE_FULL, now)
-        self._groups.setdefault(request.network, []).append(request)
+        seq = self._seq
+        self._seq = seq + 1
+        network = request.network
+        group = self._groups.get(network)
+        if group is None:
+            group = self._groups[network] = []
+            if self._edf:
+                self._arrivals[network] = []
+                self._served[network] = set()
+        if self._edf:
+            heapq.heappush(
+                group,
+                (request.deadline_s, request.arrival_s, request.rid, seq, request),
+            )
+            heapq.heappush(self._arrivals[network], (request.arrival_s, seq))
+        else:
+            heapq.heappush(group, (request.arrival_s, request.rid, seq, request))
         self._depth += 1
         return None
 
     # -- dispatch ---------------------------------------------------------
-
-    def _sort_key(self, request: Request) -> Tuple:
-        if self.policy.order == "edf":
-            return (request.deadline_s, request.arrival_s, request.rid)
-        return (request.arrival_s, request.rid)
 
     def pop_batch(
         self, network: str, max_batch: int, now: float
     ) -> Tuple[List[Request], List[ShedEvent]]:
         """Take up to ``max_batch`` servable requests for ``network``.
 
-        Requests that aged out (or expired) while queued are shed rather
-        than returned; shedding continues past them so a stale head of the
-        queue cannot starve fresh requests behind it.
+        Requests leave in policy order.  Requests that aged out (or
+        expired) while queued are shed rather than returned; shedding
+        continues past them so a stale head of the queue cannot starve
+        fresh requests behind it.
         """
-        group = self._groups.get(network, [])
-        group.sort(key=self._sort_key)
         batch: List[Request] = []
         shed: List[ShedEvent] = []
-        kept: List[Request] = []
-        for request in group:
-            if len(batch) >= max_batch:
-                kept.append(request)
-                continue
+        group = self._groups.get(network)
+        if group is None:
+            return batch, shed
+        max_age_s = self.policy.max_age_s
+        shed_expired = self.policy.shed_expired
+        served = self._served.get(network)
+        while group and len(batch) < max_batch:
+            entry = heapq.heappop(group)
+            request = entry[-1]
+            if served is not None:
+                served.add(entry[-2])
             age = now - request.arrival_s
-            if self.policy.max_age_s is not None and age > self.policy.max_age_s:
+            if max_age_s is not None and age > max_age_s:
                 shed.append(ShedEvent(request, SHED_MAX_AGE, now))
-            elif self.policy.shed_expired and now > request.deadline_s:
+            elif shed_expired and now > request.deadline_s:
                 shed.append(ShedEvent(request, SHED_EXPIRED, now))
             else:
                 batch.append(request)
-        self._groups[network] = kept
         self._depth -= len(batch) + len(shed)
+        if not group:
+            del self._groups[network]
+            if served is not None:
+                del self._arrivals[network], self._served[network]
+        elif served is not None and len(served) > len(group):
+            # more served than queued entries in the arrival heap: rebuild
+            # it from the queued ones (amortised O(1) per served request)
+            arrivals = [e for e in self._arrivals[network] if e[1] not in served]
+            heapq.heapify(arrivals)
+            self._arrivals[network] = arrivals
+            served.clear()
         return batch, shed

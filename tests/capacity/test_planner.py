@@ -175,6 +175,26 @@ class TestCacheWiring:
         assert not os.path.exists(".repro-plan-cache")
         assert report["cache"]["persist_dir"] is None
 
+    @pytest.mark.parametrize("previous", [None, "elsewhere"])
+    def test_restores_persist_dir_after_return(self, tmp_path, previous):
+        before = str(tmp_path / previous) if previous else ""
+        schedule_cache.configure(persist_dir=before)
+        report = _plan(tmp_path, jobs=1)
+        assert report["cache"]["persist_dir"] == str(tmp_path / "cache")
+        assert schedule_cache.stats().persist_dir == (before or None)
+
+    @pytest.mark.parametrize("previous", [None, "elsewhere"])
+    def test_restores_persist_dir_after_raise(self, tmp_path, previous):
+        before = str(tmp_path / previous) if previous else ""
+        schedule_cache.configure(persist_dir=before)
+
+        def interrupt(done, total):
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            _plan(tmp_path, jobs=1, progress=interrupt)
+        assert schedule_cache.stats().persist_dir == (before or None)
+
     def test_stats_surface_in_text_report_but_not_in_json(self, tmp_path):
         report = _plan(tmp_path, jobs=1)
         text = render_report(report)

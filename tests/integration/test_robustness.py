@@ -2,9 +2,10 @@
 and the toolchain must hold up on arbitrary (fuzzed) networks."""
 
 import dataclasses
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.adaptive import plan_network
@@ -13,7 +14,9 @@ from repro.arch.energy import EnergyModel, EnergyTable
 from repro.errors import ShapeError
 from repro.isa.compiler import compile_run
 from repro.nn.zoo import build, sequential_cnn
+from repro.schemes import group_geometry
 from repro.sim.machine import Machine
+from repro.tiling.partition import partition_geometry
 
 
 class TestEnergyConstantRobustness:
@@ -67,6 +70,27 @@ def random_spec(draw_blocks):
     return " ".join(tokens)
 
 
+def partition_piece_ops(ctx, config):
+    """Partition's op count when one op's windows cover the whole output
+    plane (``ox*oy < Tin // (ks*ks)``), else ``None``.
+
+    Then every (piece, input map, Dout chunk) scan is a single op, so the
+    layer costs its piece count ``groups * g*g * Din * ceil(Dout/Tout)``
+    however few output pixels there are.
+    """
+    geom = group_geometry(ctx)
+    pgeom = partition_geometry(geom.k, geom.s)
+    window = pgeom.sub_window_elements
+    if window > config.tin or geom.out_pixels >= config.tin // window:
+        return None
+    return (
+        geom.groups
+        * pgeom.pieces
+        * geom.d
+        * math.ceil(geom.dout_g / config.tout)
+    )
+
+
 block = st.tuples(
     st.sampled_from([4, 8, 16, 24, 32]),   # out maps
     st.sampled_from([1, 3, 5, 7]),          # kernel
@@ -97,6 +121,12 @@ class TestFuzzedNetworks:
 
     @settings(deadline=None, max_examples=25)
     @given(blocks=st.lists(block, min_size=1, max_size=4), hw=st.sampled_from([24, 32, 48]))
+    @example(
+        # C4k5s2 and C4k5s1 on 1x1 maps: partition costs 36 and 100 ops
+        # against intra's 7 each, 380 ops in all against intra's 165
+        blocks=[(4, 1, 2, True), (4, 5, 2, False), (4, 5, 1, False), (4, 5, 1, False)],
+        hw=24,
+    )
     def test_adaptive_never_loses_badly_on_random_nets(self, blocks, hw):
         """Algorithm 2 on arbitrary topologies.
 
@@ -107,7 +137,12 @@ class TestFuzzedNetworks:
           generator's k=3/s=2 draws, and Algorithm 2 does not model it;
         * wall-clock within 3x — tiny DMA-bound layers (e.g. strided 1x1
           convs, where im2col *deflates* the input to 1/s^2 of the pixels)
-          make the rule's inter choice stream the full tensor.
+          make the rule's inter choice stream the full tensor;
+        * partition on an output plane smaller than one op's windows
+          (ox*oy < Tin // s^2) is left out of the compute bound: every scan
+          is one op whatever the plane size, so the layer costs its piece
+          count (asserted exactly, and on the machine) while intra packs
+          the whole Din*k*k field into a few ops.
 
         The oracle policy exists for workloads living in those corners; on
         the paper's benchmarks the rule is within 10% of it (asserted in
@@ -117,12 +152,36 @@ class TestFuzzedNetworks:
             net = sequential_cnn("fuzz", (3, hw, hw), spec)
         except ShapeError:
             return
+        contexts = net.conv_contexts()
+        runs = {
+            policy: plan_network(net, CONFIG_16_16, policy)
+            for policy in ("adaptive-2", "inter", "intra", "partition")
+        }
+        adaptive = runs["adaptive-2"]
+        assert len(adaptive.layers) == len(contexts)
+
+        corner = []
+        for ctx, result in zip(contexts, adaptive.layers):
+            pieces = None
+            if result.scheme == "partition":
+                pieces = partition_piece_ops(ctx, CONFIG_16_16)
+            if pieces is not None:
+                assert result.operations == pieces, ctx.name
+            corner.append(pieces is not None)
+        if any(corner):
+            machine = Machine(CONFIG_16_16).execute(
+                compile_run(adaptive, CONFIG_16_16)
+            )
+            regions = machine.regions[-len(contexts):]
+            for region, result, in_corner in zip(regions, adaptive.layers, corner):
+                if in_corner:
+                    assert region.compute_cycles == result.operations
 
         def layer_totals(policy):
-            run = plan_network(net, CONFIG_16_16, policy)
+            layers = runs[policy].layers
             return (
-                sum(r.total_cycles for r in run.layers),
-                sum(r.operations for r in run.layers),
+                sum(r.total_cycles for r in layers),
+                sum(r.operations for r, c in zip(layers, corner) if not c),
             )
 
         adaptive_total, adaptive_ops = layer_totals("adaptive-2")
